@@ -7,8 +7,10 @@
 // and skew-normal score draws, quantized into ties) to a
 // rankties-corpus-v1 file in the working directory, then opens it with a
 // block-cache budget of corpus/5 so the acceptance ratio (corpus >= 4x
-// cache) holds with margin. Two loops, both at threads=1 so the in-RAM
-// baseline and the streaming engine spend the same parallelism:
+// cache) holds with margin. Two loops, each run twice — at threads=1 and
+// at the default lane count (the concurrent chunk sweep: one chunk decode
+// per lane) — with the in-RAM baseline and the streaming engine spending
+// the same parallelism in each record:
 //  * median — StreamingMedianRankScoresQuad + StreamingMedianInducedOrder
 //    vs MedianRankScoresQuad + MedianInducedOrder on the same lists, under
 //    a deliberately small accumulation budget (forces multi-pass).
@@ -17,9 +19,10 @@
 // `bench_outofcore --json` emits rankties-bench-v2 JSON. The CI bench gate
 // asserts match_in_ram (bit-exact streaming results), cache_within_budget
 // (peak resident bytes <= configured budget), and budget_ratio >= 4 on
-// every record; cache hit rate and bytes-read-per-pair ride along as
-// numbers, and the metrics block carries the store.cache.* / store.io.* /
-// outofcore.* counters from a small instrumented pass.
+// every record, so both the serial and the concurrent sweep are gated;
+// cache hit rate and bytes-read-per-pair ride along as numbers, and the
+// metrics block carries the store.cache.* / store.io.* / outofcore.*
+// counters from a small instrumented pass.
 
 #include <cstdio>
 #include <cstdlib>
@@ -108,9 +111,11 @@ CorpusShape ShapeOf(const store::CorpusReader& reader) {
   return shape;
 }
 
-/// A pager sized so peak residency stays inside the reported budget: Pin
-/// admits the new frame before evicting, so the momentary peak is one
-/// block above capacity — hand that block to the slack.
+/// A pager sized so peak residency stays inside the reported budget. Pin
+/// evicts before it admits, so residency passes capacity only while more
+/// lanes pin blocks of one shard at once than the shard has frames
+/// (pinned frames are never evicted); the block held back here, plus the
+/// rounding of the capacity to whole frames per shard, is slack for that.
 store::Pager::Options CacheOptions(const CorpusShape& shape) {
   store::Pager::Options cache;
   cache.capacity_bytes =
@@ -274,7 +279,7 @@ void FillCommon(benchjson::Record& record, const CorpusShape& shape,
                 const CacheReport& cache, bool match) {
   record.Int("lists", static_cast<long long>(kLists))
       .Int("n", static_cast<long long>(kDomain))
-      .Int("threads", 1)
+      .Int("threads", static_cast<long long>(ThreadPool::GlobalThreads()))
       .Str("workload", "skewed")
       .Int("corpus_bytes", static_cast<long long>(shape.corpus_bytes))
       .Int("cache_budget_bytes",
@@ -288,17 +293,19 @@ void FillCommon(benchjson::Record& record, const CorpusShape& shape,
       .Bool("gate_eligible", true);
 }
 
-int RunJsonMode() {
-  obs::SetEnabled(false);  // timed sections run uninstrumented
-  ThreadPool::SetGlobalThreads(1);
-  const std::vector<BucketOrder> lists =
-      MakeSkewedCorpus(kLists, kDomain, 41000);
-  WriteCorpusFile(kCorpusPath, lists);
-  const CorpusShape shape = ShapeOf(
-      OpenReader(kCorpusPath, store::Pager::Options{}));
+/// Lane counts every case runs at: the serial sweep, then the default pool
+/// (skipped when that is also one lane).
+std::vector<std::size_t> LaneCounts() {
+  std::vector<std::size_t> lanes = {1};
+  if (ThreadPool::DefaultThreads() > 1) {
+    lanes.push_back(ThreadPool::DefaultThreads());
+  }
+  return lanes;
+}
 
-  std::vector<benchjson::Record> records;
-  bool all_ok = true;
+void AppendRecords(const std::vector<BucketOrder>& lists,
+                   const CorpusShape& shape,
+                   std::vector<benchjson::Record>& records, bool& all_ok) {
   {
     const MedianCaseResult r = RunMedianCase(lists, shape);
     all_ok = all_ok && r.match_in_ram && r.cache.within_budget;
@@ -329,6 +336,22 @@ int RunJsonMode() {
     FillCommon(record, shape, r.cache, r.match_in_ram);
     records.push_back(record);
   }
+}
+
+int RunJsonMode() {
+  obs::SetEnabled(false);  // timed sections run uninstrumented
+  const std::vector<BucketOrder> lists =
+      MakeSkewedCorpus(kLists, kDomain, 41000);
+  WriteCorpusFile(kCorpusPath, lists);
+  const CorpusShape shape = ShapeOf(
+      OpenReader(kCorpusPath, store::Pager::Options{}));
+
+  std::vector<benchjson::Record> records;
+  bool all_ok = true;
+  for (const std::size_t lanes : LaneCounts()) {
+    ThreadPool::SetGlobalThreads(lanes);
+    AppendRecords(lists, shape, records, all_ok);
+  }
   ThreadPool::SetGlobalThreads(0);  // restore the default pool
   std::remove(kCorpusPath);
 
@@ -344,9 +367,16 @@ int RunJsonMode() {
   return 0;
 }
 
+void PrintRow(const char* name, std::size_t lanes, double in_ram_seconds,
+              double stream_seconds, const CacheReport& cache, bool match) {
+  std::printf("%-12s %7zu %13.3f %13.3f %8.1f%% %8s %7s\n", name, lanes,
+              in_ram_seconds * 1e3, stream_seconds * 1e3,
+              cache.hit_rate * 100.0, cache.within_budget ? "ok" : "OVER",
+              match ? "yes" : "NO");
+}
+
 int RunHumanMode() {
   obs::SetEnabled(false);
-  ThreadPool::SetGlobalThreads(1);
   const std::vector<BucketOrder> lists =
       MakeSkewedCorpus(kLists, kDomain, 41000);
   WriteCorpusFile(kCorpusPath, lists);
@@ -359,26 +389,23 @@ int RunHumanMode() {
               static_cast<double>(shape.corpus_bytes) / (1 << 20),
               static_cast<double>(shape.cache_budget_bytes) / (1 << 20),
               kReps);
-  std::printf("%-12s %13s %13s %9s %8s %7s\n", "case", "in-RAM (ms)",
-              "stream (ms)", "hit rate", "budget", "match");
+  std::printf("%-12s %7s %13s %13s %9s %8s %7s\n", "case", "threads",
+              "in-RAM (ms)", "stream (ms)", "hit rate", "budget", "match");
   bool all_ok = true;
-  {
-    const MedianCaseResult r = RunMedianCase(lists, shape);
-    all_ok = all_ok && r.match_in_ram && r.cache.within_budget;
-    std::printf("%-12s %13.3f %13.3f %8.1f%% %8s %7s\n", "median_rank",
-                r.in_ram_seconds * 1e3, r.streaming_seconds * 1e3,
-                r.cache.hit_rate * 100.0,
-                r.cache.within_budget ? "ok" : "OVER",
-                r.match_in_ram ? "yes" : "NO");
-  }
-  for (const MetricKind kind : kMatrixKinds) {
-    const MatrixCaseResult r = RunMatrixCase(kind, lists, shape);
-    all_ok = all_ok && r.match_in_ram && r.cache.within_budget;
-    std::printf("%-12s %13.3f %13.3f %8.1f%% %8s %7s\n", MetricName(kind),
-                r.in_ram_seconds * 1e3, r.outofcore_seconds * 1e3,
-                r.cache.hit_rate * 100.0,
-                r.cache.within_budget ? "ok" : "OVER",
-                r.match_in_ram ? "yes" : "NO");
+  for (const std::size_t lanes : LaneCounts()) {
+    ThreadPool::SetGlobalThreads(lanes);
+    {
+      const MedianCaseResult r = RunMedianCase(lists, shape);
+      all_ok = all_ok && r.match_in_ram && r.cache.within_budget;
+      PrintRow("median_rank", lanes, r.in_ram_seconds, r.streaming_seconds,
+               r.cache, r.match_in_ram);
+    }
+    for (const MetricKind kind : kMatrixKinds) {
+      const MatrixCaseResult r = RunMatrixCase(kind, lists, shape);
+      all_ok = all_ok && r.match_in_ram && r.cache.within_budget;
+      PrintRow(MetricName(kind), lanes, r.in_ram_seconds, r.outofcore_seconds,
+               r.cache, r.match_in_ram);
+    }
   }
   std::printf("\ncorpus is %.1fx the cache budget; every streaming result "
               "is checked bit-exact against the in-RAM engine.\n",

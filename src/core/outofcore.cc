@@ -20,6 +20,13 @@ PairScratch& ThreadScratch() {
   return scratch;
 }
 
+// Per-thread raw payload buffer for CorpusReader::ReadChunk, so every lane
+// decodes into its own bytes and keeps the allocation warm across chunks.
+std::vector<unsigned char>& ThreadChunkBytes() {
+  static thread_local std::vector<unsigned char> bytes;
+  return bytes;
+}
+
 // Same kind dispatch and argument order as batch_engine's EvalPrepared:
 // sigma = global list i, tau = global list j with i < j. Matching the
 // in-RAM call sites exactly is what makes the blocked matrix bit-identical.
@@ -38,21 +45,52 @@ double EvalPreparedPair(MetricKind kind, const PreparedRanking& sigma,
   return 0.0;  // unreachable; keeps -Wreturn-type quiet
 }
 
-std::vector<PreparedRanking> PrepareChunk(
-    const std::vector<BucketOrder>& lists) {
-  std::vector<PreparedRanking> prepared(lists.size());
-  ParallelFor(0, lists.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      prepared[i] = PreparedRanking(lists[i]);
+// Fills one block of the matrix: chunk-a rows against chunk-b columns,
+// both triangles, on this thread's scratch. On the diagonal block (the
+// same chunk on both sides) only pairs j > i run. Returns the number of
+// metric evaluations.
+std::int64_t FillBlock(MetricKind kind,
+                       const std::vector<PreparedRanking>& rows,
+                       std::size_t first_row,
+                       const std::vector<PreparedRanking>& cols,
+                       std::size_t first_col, bool diagonal,
+                       std::vector<std::vector<double>>& matrix) {
+  PairScratch& scratch = ThreadScratch();
+  std::int64_t evals = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t j = diagonal ? i + 1 : 0; j < cols.size(); ++j) {
+      // Global row < global column always holds (chunk a <= chunk b), so
+      // sigma/tau order matches the in-RAM upper triangle.
+      const double d = EvalPreparedPair(kind, rows[i], cols[j], scratch);
+      matrix[first_row + i][first_col + j] = d;
+      matrix[first_col + j][first_row + i] = d;
+      ++evals;
     }
-  });
-  return prepared;
+  }
+  return evals;
+}
+
+// Reads chunk `c` on the calling thread and counts the load.
+Status LoadChunk(const store::CorpusReader& reader, std::size_t c,
+                 std::vector<BucketOrder>* lists) {
+  Status s = reader.ReadChunk(c, &ThreadChunkBytes(), lists);
+  if (s.ok()) RANKTIES_OBS_COUNT("outofcore.chunk_loads", 1);
+  return s;
+}
+
+// The lowest-index failure of a per-chunk status vector, so a parallel
+// sweep reports the same chunk the serial order would have stopped at.
+Status FirstFailure(const std::vector<Status>& statuses) {
+  for (const Status& s : statuses) {
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
 }
 
 }  // namespace
 
 StatusOr<std::vector<std::int64_t>> StreamingMedianRankScoresQuad(
-    store::CorpusReader& reader, MedianPolicy policy,
+    const store::CorpusReader& reader, MedianPolicy policy,
     const OutOfCoreOptions& options) {
   const std::size_t n = reader.n();
   const std::size_t m = static_cast<std::size_t>(reader.num_lists());
@@ -69,26 +107,35 @@ StatusOr<std::vector<std::int64_t>> StreamingMedianRankScoresQuad(
 
   std::vector<std::int64_t> scores(n);
   std::vector<std::int64_t> ranks(block_elems * m);
-  std::vector<BucketOrder> chunk;
+  const std::size_t chunks = reader.num_chunks();
+  std::vector<Status> failures(chunks);
   for (std::size_t e0 = 0; e0 < n; e0 += block_elems) {
     const std::size_t e1 = std::min(e0 + block_elems, n);
     RANKTIES_OBS_COUNT("outofcore.element_passes", 1);
-    // One pass over the corpus: every chunk contributes its lists' doubled
-    // positions for the active element block.
-    for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
-      Status s = reader.ReadChunk(c, &chunk);
-      if (!s.ok()) return s;
-      RANKTIES_OBS_COUNT("outofcore.chunk_loads", 1);
-      const std::size_t first =
-          static_cast<std::size_t>(reader.chunk(c).first_list);
-      for (std::size_t i = 0; i < chunk.size(); ++i) {
-        const BucketOrder& order = chunk[i];
-        for (std::size_t e = e0; e < e1; ++e) {
-          ranks[(e - e0) * m + (first + i)] =
-              order.TwicePosition(static_cast<ElementId>(e));
+    // One pass over the corpus, one chunk per lane: every chunk writes its
+    // own lists' doubled positions for the active element block, i.e. only
+    // its own rank-column slots.
+    ParallelFor(0, chunks, 1, [&](std::size_t lo, std::size_t hi) {
+      std::vector<BucketOrder> chunk;
+      for (std::size_t c = lo; c < hi; ++c) {
+        Status s = LoadChunk(reader, c, &chunk);
+        if (!s.ok()) {
+          failures[c] = std::move(s);
+          continue;
+        }
+        const std::size_t first =
+            static_cast<std::size_t>(reader.chunk(c).first_list);
+        for (std::size_t i = 0; i < chunk.size(); ++i) {
+          const BucketOrder& order = chunk[i];
+          for (std::size_t e = e0; e < e1; ++e) {
+            ranks[(e - e0) * m + (first + i)] =
+                order.TwicePosition(static_cast<ElementId>(e));
+          }
         }
       }
-    }
+    });
+    Status s = FirstFailure(failures);
+    if (!s.ok()) return s;
     // The median of a multiset is accumulation-order-independent
     // (MedianQuad sorts), so chunk-at-a-time filling is bit-identical to
     // the in-RAM list-order loop.
@@ -106,7 +153,7 @@ StatusOr<std::vector<std::int64_t>> StreamingMedianRankScoresQuad(
 }
 
 StatusOr<BucketOrder> StreamingMedianInducedOrder(
-    store::CorpusReader& reader, MedianPolicy policy,
+    const store::CorpusReader& reader, MedianPolicy policy,
     const OutOfCoreOptions& options) {
   StatusOr<std::vector<std::int64_t>> scores =
       StreamingMedianRankScoresQuad(reader, policy, options);
@@ -115,7 +162,7 @@ StatusOr<BucketOrder> StreamingMedianInducedOrder(
 }
 
 StatusOr<std::vector<std::vector<double>>> OutOfCoreDistanceMatrix(
-    MetricKind kind, store::CorpusReader& reader) {
+    MetricKind kind, const store::CorpusReader& reader) {
   const std::size_t m = static_cast<std::size_t>(reader.num_lists());
   std::vector<std::vector<double>> matrix(m, std::vector<double>(m, 0.0));
   if (m < 2) return matrix;
@@ -124,59 +171,51 @@ StatusOr<std::vector<std::vector<double>>> OutOfCoreDistanceMatrix(
                 static_cast<std::int64_t>(m - 1) / 2);
 
   const std::size_t chunks = reader.num_chunks();
+  std::vector<Status> failures(chunks);
   std::vector<BucketOrder> lists_a;
-  std::vector<BucketOrder> lists_b;
   for (std::size_t a = 0; a < chunks; ++a) {
-    Status s = reader.ReadChunk(a, &lists_a);
+    Status s = LoadChunk(reader, a, &lists_a);
     if (!s.ok()) return s;
-    RANKTIES_OBS_COUNT("outofcore.chunk_loads", 1);
     const std::size_t first_a =
         static_cast<std::size_t>(reader.chunk(a).first_list);
-    const std::vector<PreparedRanking> prepared_a = PrepareChunk(lists_a);
-
-    // Diagonal block: within-chunk upper triangle.
-    ParallelFor(0, prepared_a.size(), 1, [&](std::size_t lo, std::size_t hi) {
-      PairScratch& scratch = ThreadScratch();
+    std::vector<PreparedRanking> prepared_a(lists_a.size());
+    ParallelFor(0, lists_a.size(), 1, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        for (std::size_t j = i + 1; j < prepared_a.size(); ++j) {
-          const double d =
-              EvalPreparedPair(kind, prepared_a[i], prepared_a[j], scratch);
-          matrix[first_a + i][first_a + j] = d;
-          matrix[first_a + j][first_a + i] = d;
-        }
+        prepared_a[i] = PreparedRanking(lists_a[i]);
       }
     });
-    RANKTIES_OBS_COUNT(
-        "outofcore.metric_evals",
-        static_cast<std::int64_t>(prepared_a.size() *
-                                  (prepared_a.size() - 1) / 2));
 
-    // Cross blocks: chunk a stays prepared while b sweeps the tail.
-    for (std::size_t b = a + 1; b < chunks; ++b) {
-      s = reader.ReadChunk(b, &lists_b);
-      if (!s.ok()) return s;
-      RANKTIES_OBS_COUNT("outofcore.chunk_loads", 1);
-      const std::size_t first_b =
-          static_cast<std::size_t>(reader.chunk(b).first_list);
-      const std::vector<PreparedRanking> prepared_b = PrepareChunk(lists_b);
-      ParallelFor(
-          0, prepared_a.size(), 1, [&](std::size_t lo, std::size_t hi) {
-            PairScratch& scratch = ThreadScratch();
-            for (std::size_t i = lo; i < hi; ++i) {
-              for (std::size_t j = 0; j < prepared_b.size(); ++j) {
-                // Global i < global j always holds across chunks a < b, so
-                // sigma/tau order matches the in-RAM upper triangle.
-                const double d = EvalPreparedPair(kind, prepared_a[i],
-                                                  prepared_b[j], scratch);
-                matrix[first_a + i][first_b + j] = d;
-                matrix[first_b + j][first_a + i] = d;
-              }
-            }
-          });
-      RANKTIES_OBS_COUNT(
-          "outofcore.metric_evals",
-          static_cast<std::int64_t>(prepared_a.size() * prepared_b.size()));
-    }
+    // One lane per block of row band a: the diagonal block (b == a) and
+    // every cross block b > a. A cross lane decodes and freezes its chunk
+    // b itself, serially, while chunk a stays prepared and shared
+    // read-only. Every slot is written by exactly one lane.
+    ParallelFor(a, chunks, 1, [&](std::size_t lo, std::size_t hi) {
+      std::vector<BucketOrder> lists_b;
+      std::vector<PreparedRanking> prepared_b;
+      for (std::size_t b = lo; b < hi; ++b) {
+        const bool diagonal = b == a;
+        if (!diagonal) {
+          Status read = LoadChunk(reader, b, &lists_b);
+          if (!read.ok()) {
+            failures[b] = std::move(read);
+            continue;
+          }
+          prepared_b.clear();
+          for (const BucketOrder& order : lists_b) {
+            prepared_b.emplace_back(order);
+          }
+        }
+        const std::vector<PreparedRanking>& cols =
+            diagonal ? prepared_a : prepared_b;
+        const auto first_b =
+            static_cast<std::size_t>(reader.chunk(b).first_list);
+        const std::int64_t evals = FillBlock(kind, prepared_a, first_a, cols,
+                                             first_b, diagonal, matrix);
+        RANKTIES_OBS_COUNT("outofcore.metric_evals", evals);
+      }
+    });
+    s = FirstFailure(failures);
+    if (!s.ok()) return s;
   }
   return matrix;
 }

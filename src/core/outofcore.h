@@ -15,8 +15,9 @@ namespace rankties {
 
 /// Shard-at-a-time engines over an on-disk `rankties-corpus-v1` corpus
 /// (store/corpus_reader.h). The corpus never has to fit in RAM: lists are
-/// materialized one chunk at a time through the reader's LRU block cache,
-/// and the per-pass working set is bounded by `OutOfCoreOptions`.
+/// materialized a chunk at a time per pool lane through the reader's LRU
+/// block cache, and the per-pass working set is bounded by
+/// `OutOfCoreOptions`.
 ///
 /// Determinism guarantee: both engines are bit-identical to their in-RAM
 /// counterparts on the same corpus — StreamingMedianRankScoresQuad to
@@ -37,26 +38,31 @@ struct OutOfCoreOptions {
 /// Streaming median-rank aggregation (PAPER.md Section 5) over an on-disk
 /// corpus: quadrupled median of every element's doubled positions, policy
 /// as in core/median_rank.h. Elements are processed in blocks sized to
-/// `memory_budget_bytes`; each block streams the corpus chunk by chunk,
-/// accumulating an m-entry rank column per element.
+/// `memory_budget_bytes`; each block streams the corpus with one chunk per
+/// pool lane, every chunk filling only its own lists' slots of the m-entry
+/// rank column per element. On a corrupt chunk the lowest-index failure of
+/// the pass is returned, whatever the lane count.
 StatusOr<std::vector<std::int64_t>> StreamingMedianRankScoresQuad(
-    store::CorpusReader& reader, MedianPolicy policy,
+    const store::CorpusReader& reader, MedianPolicy policy,
     const OutOfCoreOptions& options = {});
 
 /// The bucket order induced by the streaming median scores (elements tied
 /// iff their medians are equal) — the out-of-core MedianInducedOrder.
 StatusOr<BucketOrder> StreamingMedianInducedOrder(
-    store::CorpusReader& reader, MedianPolicy policy,
+    const store::CorpusReader& reader, MedianPolicy policy,
     const OutOfCoreOptions& options = {});
 
 /// The m x m distance matrix of DistanceMatrix computed blockwise over
-/// chunk pairs: chunk A is prepared once per outer iteration, chunk B is
-/// loaded through the cache, and every global pair (i, j), i < j, in the
-/// block runs the prepared kernels on per-thread scratch. Only the chunk
-/// pair's preparations are live at once; the matrix itself (m^2 doubles)
-/// is the caller's output and scales with m, not n.
+/// chunk pairs. The outer chunk a is decoded and prepared once per row
+/// band; then one pool lane per block fills the diagonal block and each
+/// cross block b > a, decoding and preparing chunk b itself, and every
+/// global pair (i, j), i < j, runs the prepared kernels on per-thread
+/// scratch. At most lanes + 1 chunk preparations are live at once; the
+/// matrix itself (m^2 doubles) is the caller's output and scales with m,
+/// not n. On a corrupt chunk the lowest-index failure of the band is
+/// returned, the chunk the serial sweep would have stopped at.
 StatusOr<std::vector<std::vector<double>>> OutOfCoreDistanceMatrix(
-    MetricKind kind, store::CorpusReader& reader);
+    MetricKind kind, const store::CorpusReader& reader);
 
 }  // namespace rankties
 

@@ -59,18 +59,28 @@ StatusOr<BucketOrder> BucketOrder::FromBucketIndex(
     if (b < 0) return Status::InvalidArgument("negative bucket index");
     max_bucket = std::max(max_bucket, b);
   }
-  std::vector<std::vector<ElementId>> buckets(
-      static_cast<std::size_t>(max_bucket + 1));
-  for (std::size_t e = 0; e < n; ++e) {
-    buckets[static_cast<std::size_t>(bucket_of[e])].push_back(
-        static_cast<ElementId>(e));
-  }
-  for (const auto& b : buckets) {
-    if (b.empty()) {
+  // Count bucket sizes, reject gaps, then fill every bucket in one
+  // ascending-element pass: the elements land already sorted and each
+  // appears exactly once, so the result is valid by construction and
+  // needs neither FromBuckets' per-bucket sort nor its re-validation.
+  std::vector<std::size_t> sizes(static_cast<std::size_t>(max_bucket + 1));
+  for (BucketIndex b : bucket_of) ++sizes[static_cast<std::size_t>(b)];
+  BucketOrder order;
+  order.buckets_.resize(sizes.size());
+  for (std::size_t b = 0; b < sizes.size(); ++b) {
+    if (sizes[b] == 0) {
       return Status::InvalidArgument("bucket indices not contiguous");
     }
+    order.buckets_[b].reserve(sizes[b]);
   }
-  return FromBuckets(n, std::move(buckets));
+  for (std::size_t e = 0; e < n; ++e) {
+    order.buckets_[static_cast<std::size_t>(bucket_of[e])].push_back(
+        static_cast<ElementId>(e));
+  }
+  order.bucket_of_ = bucket_of;
+  order.RebuildPositions();
+  RANKTIES_DCHECK_OK(order.Validate());
+  return order;
 }
 
 BucketOrder BucketOrder::FromPermutation(const Permutation& perm) {

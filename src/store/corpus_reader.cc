@@ -134,7 +134,10 @@ StatusOr<CorpusReader> CorpusReader::Open(const std::string& path,
   return reader;
 }
 
-Status CorpusReader::ReadChunk(std::size_t c, std::vector<BucketOrder>* out) {
+Status CorpusReader::ReadChunk(std::size_t c,
+                               std::vector<unsigned char>* scratch,
+                               std::vector<BucketOrder>* out) const {
+  RANKTIES_DCHECK(scratch != nullptr);
   RANKTIES_DCHECK(out != nullptr);
   if (c >= directory_.size()) {
     return Status::OutOfRange("chunk " + std::to_string(c) +
@@ -145,10 +148,11 @@ Status CorpusReader::ReadChunk(std::size_t c, std::vector<BucketOrder>* out) {
   const ChunkEntry& entry = directory_[c];
   out->clear();
 
-  // Assemble the chunk's logical byte range from its (cached) blocks.
+  // Assemble the chunk's logical byte range from its (cached) blocks,
+  // holding one pin at a time.
   const std::size_t payload_per_block =
       BlockPayloadBytes(header_.block_size);
-  scratch_.resize(entry.payload_bytes);
+  scratch->resize(entry.payload_bytes);
   std::uint64_t logical = entry.payload_offset;
   std::size_t copied = 0;
   while (copied < entry.payload_bytes) {
@@ -158,11 +162,16 @@ Status CorpusReader::ReadChunk(std::size_t c, std::vector<BucketOrder>* out) {
     const std::size_t take = std::min<std::size_t>(
         payload_per_block - in_block, entry.payload_bytes - copied);
     StatusOr<Pager::PinnedBlock> pin = pager_->Pin(block);
-    if (!pin.ok()) return pin.status();
-    std::memcpy(scratch_.data() + copied, pin->payload() + in_block, take);
+    if (!pin.ok()) {
+      const Status& failed = pin.status();
+      return Status(failed.code(),
+                    "chunk " + std::to_string(c) + ": " + failed.message());
+    }
+    std::memcpy(scratch->data() + copied, pin->payload() + in_block, take);
     copied += take;
     logical += take;
   }
+  const unsigned char* bytes = scratch->data();
 
   // Decode the columnar payload: bucket-count column, then one bucket_of
   // column per list.
@@ -172,9 +181,8 @@ Status CorpusReader::ReadChunk(std::size_t c, std::vector<BucketOrder>* out) {
   std::uint64_t bucket_total = 0;
   std::vector<BucketIndex> bucket_of(n);
   for (std::size_t i = 0; i < list_count; ++i) {
-    const std::uint32_t num_buckets = LoadU32(scratch_.data() + 4 * i);
-    const unsigned char* column =
-        scratch_.data() + 4 * list_count + 4 * i * n;
+    const std::uint32_t num_buckets = LoadU32(bytes + 4 * i);
+    const unsigned char* column = bytes + 4 * list_count + 4 * i * n;
     for (std::size_t e = 0; e < n; ++e) {
       const std::uint32_t bucket = LoadU32(column + 4 * e);
       if (bucket >= num_buckets) {

@@ -24,9 +24,10 @@ namespace rankties::store {
 /// materializes one chunk's lists as `BucketOrder`s, paging its blocks
 /// through the shared LRU cache.
 ///
-/// `ReadChunk` reuses an internal scratch buffer, so one `CorpusReader` is
-/// single-threaded; the underlying `Pager` (shared via `pager()`) is
-/// thread-safe, and several readers may share one open file.
+/// `ReadChunk` is const and thread-safe: the only mutable state it touches
+/// is the caller's byte scratch and output vector plus the `Pager`, which
+/// locks per shard. Concurrent readers of one `CorpusReader` (the pool
+/// lanes of the out-of-core engines) each bring their own scratch.
 class CorpusReader {
  public:
   /// Opens and validates `path`. `cache` configures the block cache.
@@ -44,8 +45,12 @@ class CorpusReader {
 
   /// Decodes chunk `c` into `out` (cleared first). The lists are the
   /// corpus lists `[chunk(c).first_list, chunk(c).first_list +
-  /// chunk(c).list_count)` in order.
-  Status ReadChunk(std::size_t c, std::vector<BucketOrder>* out);
+  /// chunk(c).list_count)` in order. `scratch` holds the chunk's raw
+  /// payload bytes during the decode; reusing one per thread keeps its
+  /// allocation warm. Errors name the chunk: OutOfRange past the last
+  /// chunk, DataLoss for a corrupt block or column.
+  Status ReadChunk(std::size_t c, std::vector<unsigned char>* scratch,
+                   std::vector<BucketOrder>* out) const;
 
   Pager& pager() { return *pager_; }
   const Pager& pager() const { return *pager_; }
@@ -58,7 +63,6 @@ class CorpusReader {
   FileHeader header_;
   std::vector<ChunkEntry> directory_;
   std::unique_ptr<Pager> pager_;
-  std::vector<unsigned char> scratch_;
 };
 
 }  // namespace rankties::store

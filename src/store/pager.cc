@@ -62,8 +62,8 @@ void Pager::NoteResident(std::int64_t delta) {
   }
 }
 
-void Pager::EvictOver(Shard& shard, std::size_t shard_capacity) {
-  while (shard.frames.size() > shard_capacity && !shard.lru.empty()) {
+void Pager::EvictDownTo(Shard& shard, std::size_t target) {
+  while (shard.frames.size() > target && !shard.lru.empty()) {
     const std::uint64_t victim = shard.lru.front();
     shard.lru.pop_front();
     auto it = shard.frames.find(victim);
@@ -73,10 +73,6 @@ void Pager::EvictOver(Shard& shard, std::size_t shard_capacity) {
     evictions_.fetch_add(1, std::memory_order_relaxed);
     RANKTIES_OBS_COUNT("store.cache.evictions", 1);
     NoteResident(-1);
-  }
-  if (shard.frames.size() > shard_capacity) {
-    // All frames pinned: over budget until pins release.
-    RANKTIES_OBS_COUNT("store.cache.pinned_overflow", 1);
   }
 }
 
@@ -116,6 +112,10 @@ StatusOr<Pager::PinnedBlock> Pager::Pin(std::uint64_t block) {
     return Status::DataLoss("CRC mismatch on block " + std::to_string(block));
   }
 
+  // Evict before admitting: the shard, and with it the pager-wide peak
+  // that concurrent pins in other shards add to, never passes capacity
+  // while an unpinned victim exists.
+  EvictDownTo(shard, shard_capacity_blocks_ - 1);
   auto frame = std::make_unique<Frame>();
   frame->block = block;
   frame->pin_count = 1;
@@ -124,7 +124,10 @@ StatusOr<Pager::PinnedBlock> Pager::Pin(std::uint64_t block) {
   const unsigned char* data = frame->payload.data();
   shard.frames.emplace(block, std::move(frame));
   NoteResident(1);
-  EvictOver(shard, shard_capacity_blocks_);
+  if (shard.frames.size() > shard_capacity_blocks_) {
+    // Every other frame is pinned: over budget until pins release.
+    RANKTIES_OBS_COUNT("store.cache.pinned_overflow", 1);
+  }
   return PinnedBlock(this, block, data);
 }
 
@@ -142,7 +145,7 @@ void Pager::UnpinBlock(std::uint64_t block) {
   if (--frame.pin_count == 0) {
     frame.lru_pos = shard.lru.insert(shard.lru.end(), block);
     frame.in_lru = true;
-    EvictOver(shard, shard_capacity_blocks_);
+    EvictDownTo(shard, shard_capacity_blocks_);
   }
 }
 

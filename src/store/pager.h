@@ -30,6 +30,11 @@ namespace rankties::store {
 ///     unpin, across any number of concurrent pins of other blocks.
 ///   - Capacity is split evenly across shards with a floor of one frame
 ///     per shard, so the effective capacity is at least `shards` blocks.
+///   - A miss evicts its LRU victim before admitting the new frame, so a
+///     shard holds more than its share only while all its frames are
+///     pinned. Callers that hold at most one pin each, with no more of
+///     them than a shard has frames, keep `peak_resident_blocks()` within
+///     `capacity_blocks()` however many of them pin concurrently.
 ///
 /// Thread-safe: shards lock independently; all counters are atomic.
 class Pager {
@@ -143,9 +148,8 @@ class Pager {
     return shards_[block % shards_.size()];
   }
 
-  /// Evicts LRU unpinned frames while the shard is over its share of the
-  /// capacity.
-  void EvictOver(Shard& shard, std::size_t shard_capacity)
+  /// Evicts LRU unpinned frames while the shard holds more than `target`.
+  void EvictDownTo(Shard& shard, std::size_t target)
       RANKTIES_REQUIRES(shard.mu);
 
   void NoteResident(std::int64_t delta);

@@ -59,6 +59,59 @@ TEST(BucketOrderTest, FromBucketIndexRoundTrip) {
   EXPECT_FALSE(BucketOrder::FromBucketIndex({0, 2}).ok());  // gap
 }
 
+// FromBucketIndex builds its buckets directly instead of going through
+// FromBuckets; on every valid input the two factories must agree.
+TEST(BucketOrderTest, FromBucketIndexMatchesFromBuckets) {
+  Rng rng(91);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::int64_t n = rng.UniformInt(1, 80);
+    const std::int64_t t = rng.UniformInt(1, n);
+    // A random surjection onto 0..t-1.
+    std::vector<BucketIndex> bucket_of;
+    for (std::int64_t e = 0; e < n; ++e) {
+      const std::int64_t b = e < t ? e : rng.UniformInt(0, t - 1);
+      bucket_of.push_back(static_cast<BucketIndex>(b));
+    }
+    rng.Shuffle(bucket_of);
+    std::vector<std::vector<ElementId>> buckets(static_cast<std::size_t>(t));
+    for (std::size_t e = 0; e < bucket_of.size(); ++e) {
+      buckets[static_cast<std::size_t>(bucket_of[e])].push_back(
+          static_cast<ElementId>(e));
+    }
+    for (std::vector<ElementId>& bucket : buckets) rng.Shuffle(bucket);
+
+    StatusOr<BucketOrder> via_index = BucketOrder::FromBucketIndex(bucket_of);
+    StatusOr<BucketOrder> via_buckets =
+        BucketOrder::FromBuckets(bucket_of.size(), std::move(buckets));
+    ASSERT_TRUE(via_index.ok()) << via_index.status();
+    ASSERT_TRUE(via_buckets.ok()) << via_buckets.status();
+    EXPECT_EQ(*via_index, *via_buckets) << "trial " << trial;
+    EXPECT_TRUE(via_index->Validate().ok());
+    for (std::size_t b = 0; b < via_index->num_buckets(); ++b) {
+      EXPECT_EQ(via_index->TwicePositionOfBucket(b),
+                via_buckets->TwicePositionOfBucket(b));
+    }
+  }
+}
+
+TEST(BucketOrderTest, FromBucketIndexErrorsAndEmptyInput) {
+  const Status negative = BucketOrder::FromBucketIndex({0, -1, 1}).status();
+  EXPECT_EQ(negative.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(negative.message(), "negative bucket index");
+  // A negative index is reported even when the input also has a gap.
+  EXPECT_EQ(BucketOrder::FromBucketIndex({3, -2}).status().message(),
+            "negative bucket index");
+  const Status gap = BucketOrder::FromBucketIndex({0, 2, 2}).status();
+  EXPECT_EQ(gap.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(gap.message(), "bucket indices not contiguous");
+
+  StatusOr<BucketOrder> empty = BucketOrder::FromBucketIndex({});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->n(), 0u);
+  EXPECT_EQ(empty->num_buckets(), 0u);
+  EXPECT_EQ(*empty, BucketOrder());
+}
+
 TEST(BucketOrderTest, SingleBucketTiesEverything) {
   const BucketOrder order = BucketOrder::SingleBucket(4);
   EXPECT_EQ(order.num_buckets(), 1u);

@@ -3,8 +3,10 @@
 // tests can pin down exactly which block leaves the cache and when.
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/random_orders.h"
@@ -23,10 +25,11 @@ std::string TestPath(const std::string& name) {
 }
 
 // Writes a corpus with 64-byte blocks so even a small corpus spans many
-// blocks, and returns a reader whose single-shard cache holds exactly
-// `capacity_blocks` of them.
+// blocks, and returns a reader whose cache holds exactly `capacity_blocks`
+// of them, split over `shards` (one by default: a global LRU order).
 store::CorpusReader OpenSmallBlockCorpus(const std::string& name,
-                                         std::size_t capacity_blocks) {
+                                         std::size_t capacity_blocks,
+                                         int shards = 1) {
   const std::string path = TestPath(name);
   Rng rng(42);
   store::CorpusWriter::Options write_options;
@@ -41,7 +44,7 @@ store::CorpusReader OpenSmallBlockCorpus(const std::string& name,
   EXPECT_TRUE(writer->Finish().ok());
 
   store::Pager::Options cache;
-  cache.shards = 1;
+  cache.shards = shards;
   cache.capacity_bytes = capacity_blocks * store::kMinBlockSize;
   StatusOr<store::CorpusReader> reader =
       store::CorpusReader::Open(path, cache);
@@ -154,6 +157,62 @@ TEST(PagerTest, MovedPinReleasesOnce) {
   // A fresh pin still works and counts one hit.
   EXPECT_TRUE(pager.Pin(0).ok());
   EXPECT_EQ(pager.hits(), 1);
+}
+
+// Concurrent misses in different shards must not push residency past
+// capacity: Pin evicts its victim before admitting the new frame, so with
+// every thread holding at most one pin (and no more threads than a shard
+// has frames) the peak stays within capacity_blocks().
+TEST(PagerTest, ConcurrentPinsStayWithinCapacity) {
+  constexpr std::size_t kThreads = 4;
+  constexpr int kPinsPerThread = 3000;
+  store::CorpusReader reader =
+      OpenSmallBlockCorpus("pager_threads.corpus", 2 * kThreads, 2);
+  store::Pager& pager = reader.pager();
+  ASSERT_EQ(pager.capacity_blocks(), 2 * kThreads);
+  ASSERT_GT(pager.num_blocks(), 2 * pager.capacity_blocks());
+
+  // Reference payloads, read one block at a time.
+  const std::size_t payload_bytes =
+      store::BlockPayloadBytes(pager.block_size());
+  std::vector<std::vector<unsigned char>> expected(pager.num_blocks());
+  for (std::uint64_t b = 0; b < pager.num_blocks(); ++b) {
+    StatusOr<store::Pager::PinnedBlock> pin = pager.Pin(b);
+    ASSERT_TRUE(pin.ok()) << pin.status();
+    expected[b].assign(pin->payload(), pin->payload() + payload_bytes);
+  }
+
+  const auto last_block = static_cast<std::int64_t>(pager.num_blocks()) - 1;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(1000 + t);
+      for (int i = 0; i < kPinsPerThread; ++i) {
+        const auto block =
+            static_cast<std::uint64_t>(rng.UniformInt(0, last_block));
+        StatusOr<store::Pager::PinnedBlock> pin = pager.Pin(block);
+        if (!pin.ok()) {
+          ++mismatches[t];
+          continue;
+        }
+        const unsigned char* want = expected[block].data();
+        if (std::memcmp(pin->payload(), want, payload_bytes) != 0) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+  EXPECT_GT(pager.evictions(), 0);
+  EXPECT_LE(pager.peak_resident_blocks(),
+            static_cast<std::int64_t>(pager.capacity_blocks()));
+  EXPECT_LE(pager.resident_blocks(),
+            static_cast<std::int64_t>(pager.capacity_blocks()));
 }
 
 #if RANKTIES_DCHECK_ENABLED

@@ -52,15 +52,29 @@ void WriteCorpus(const std::string& path,
   ASSERT_TRUE(writer->Finish().ok());
 }
 
-std::vector<BucketOrder> ReadAll(store::CorpusReader& reader) {
+std::vector<BucketOrder> ReadAll(const store::CorpusReader& reader) {
   std::vector<BucketOrder> all;
+  std::vector<unsigned char> bytes;
   std::vector<BucketOrder> chunk;
   for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
-    Status s = reader.ReadChunk(c, &chunk);
+    Status s = reader.ReadChunk(c, &bytes, &chunk);
     EXPECT_TRUE(s.ok()) << s;
     for (BucketOrder& order : chunk) all.push_back(std::move(order));
   }
   return all;
+}
+
+// Bit-at-a-time reflected CRC-32: the definition the table-driven
+// implementation must reproduce.
+std::uint32_t BitwiseCrc32(const unsigned char* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
 }
 
 void FlipByte(const std::string& path, std::uint64_t offset) {
@@ -73,6 +87,38 @@ void FlipByte(const std::string& path, std::uint64_t offset) {
   byte = static_cast<char>(byte ^ 0x5A);
   file.seekp(static_cast<std::streamoff>(offset));
   file.write(&byte, 1);
+}
+
+TEST(Crc32Test, StandardCheckValue) {
+  EXPECT_EQ(store::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(store::Crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryOffset) {
+  Rng rng(77);
+  std::vector<unsigned char> buffer(4096 + 8);
+  for (unsigned char& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* data = buffer.data() + offset;
+    // Every short length (all tail shapes), then random lengths to 4096.
+    std::vector<std::size_t> lengths;
+    for (std::size_t len = 0; len <= 40; ++len) lengths.push_back(len);
+    for (int trial = 0; trial < 60; ++trial) {
+      lengths.push_back(static_cast<std::size_t>(rng.UniformInt(0, 4096)));
+    }
+    for (const std::size_t len : lengths) {
+      const std::uint32_t want = BitwiseCrc32(data, len);
+      EXPECT_EQ(store::Crc32(data, len), want)
+          << "offset " << offset << " length " << len;
+      // Continuing from a prefix gives the same checksum.
+      const std::size_t split = len / 3;
+      const std::uint32_t head = store::Crc32(data, split);
+      EXPECT_EQ(store::Crc32Extend(head, data + split, len - split), want)
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(StoreRoundTrip, SingleChunkSingleBlock) {
@@ -248,8 +294,9 @@ TEST(StoreRobustness, FlippedBlockByteIsDataLossOnRead) {
       store::CorpusReader::Open(path, store::Pager::Options{});
   ASSERT_TRUE(reader.ok()) << reader.status();
   // ...but paging the corrupt block in is DataLoss.
+  std::vector<unsigned char> bytes;
   std::vector<BucketOrder> chunk;
-  const Status s = reader->ReadChunk(0, &chunk);
+  const Status s = reader->ReadChunk(0, &bytes, &chunk);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kDataLoss);
 }
