@@ -41,7 +41,11 @@ inline std::string Escape(const std::string& raw) {
 class Record {
  public:
   Record& Str(const std::string& key, const std::string& value) {
-    return Raw(key, "\"" + Escape(value) + "\"");
+    // Appending to an lvalue, not `"\"" + std::string&&`, which GCC 12's
+    // -Wrestrict misreports at -O3.
+    std::string quoted = "\"";
+    quoted.append(Escape(value)).push_back('"');
+    return Raw(key, std::move(quoted));
   }
   Record& Num(const std::string& key, double value) {
     char buffer[64];
@@ -59,7 +63,8 @@ class Record {
     std::string out = "{";
     for (std::size_t i = 0; i < keys_.size(); ++i) {
       if (i) out += ", ";
-      out += "\"" + Escape(keys_[i]) + "\": " + values_[i];
+      out.append("\"").append(Escape(keys_[i])).append("\": ");
+      out += values_[i];
     }
     out += "}";
     return out;

@@ -20,9 +20,9 @@ namespace rankties {
 /// PreparedRankings (core/prepared.h) — O(m*n) total — and then runs the
 /// zero-allocation prepared kernels with one reusable PairScratch per pool
 /// thread, instead of paying the legacy per-pair hash-map/sort/Fenwick heap
-/// traffic O(m^2) times. FHaus has no prepared form (its Theorem 5
-/// refinement construction is inherently allocating) and falls back to the
-/// legacy kernel per pair.
+/// traffic O(m^2) times. All four kinds run prepared: FHaus evaluates the
+/// Theorem 5 refinement pair through its joint-bucket-run decomposition
+/// (core/prepared.h) instead of materializing the two refinements.
 ///
 /// Determinism guarantee: every function here returns results bit-identical
 /// to the corresponding serial ComputeMetric loop, for every thread count.

@@ -9,53 +9,6 @@
 
 namespace rankties {
 
-void OnlineMedianAggregator::ElementState::Insert(std::int64_t value) {
-  if (low.empty() || value <= *low.rbegin()) {
-    low.insert(value);
-  } else {
-    high.insert(value);
-  }
-}
-
-void OnlineMedianAggregator::ElementState::Erase(std::int64_t value) {
-  auto it = low.find(value);
-  if (it != low.end()) {
-    low.erase(it);
-    return;
-  }
-  it = high.find(value);
-  RANKTIES_DCHECK(it != high.end());
-  high.erase(it);
-}
-
-void OnlineMedianAggregator::ElementState::Rebalance(std::size_t target) {
-  while (low.size() > target) {
-    auto it = std::prev(low.end());
-    high.insert(*it);
-    low.erase(it);
-  }
-  while (low.size() < target) {
-    auto it = high.begin();
-    low.insert(*it);
-    high.erase(it);
-  }
-  // Sizes alone don't restore the partition: an erase can empty `low` and
-  // let the next insert land a value above `high`'s minimum there. Swap
-  // boundary values until every low value <= every high value again (one
-  // edit misplaces at most one value, so this loop runs at most once per
-  // insert/erase pair).
-  while (!low.empty() && !high.empty() && *low.rbegin() > *high.begin()) {
-    auto low_it = std::prev(low.end());
-    auto high_it = high.begin();
-    const std::int64_t low_value = *low_it;
-    const std::int64_t high_value = *high_it;
-    low.erase(low_it);
-    high.erase(high_it);
-    low.insert(high_value);
-    high.insert(low_value);
-  }
-}
-
 OnlineMedianAggregator::OnlineMedianAggregator(std::size_t n)
     : positions_(n) {}
 
@@ -64,15 +17,14 @@ Status OnlineMedianAggregator::AddVoter(const BucketOrder& voter) {
     return Status::InvalidArgument("voter domain size mismatch");
   }
   const std::size_t m = num_voters_ + 1;  // count including this voter
-  const std::size_t target = (m + 1) / 2;  // lower-median 1-based index
   std::vector<std::int64_t> row(n());
   for (std::size_t e = 0; e < n(); ++e) {
     const std::int64_t value =
         voter.TwicePosition(static_cast<ElementId>(e));
     row[e] = value;
-    ElementState& state = positions_[e];
-    state.Insert(value);
-    state.Rebalance(target);
+    std::vector<std::int64_t>& values = positions_[e];
+    values.insert(std::upper_bound(values.begin(), values.end(), value),
+                  value);
   }
   voter_positions_.push_back(std::move(row));
   num_voters_ = m;
@@ -93,17 +45,26 @@ Status OnlineMedianAggregator::UpdateVoter(std::size_t index,
   if (voter.n() != n()) {
     return Status::InvalidArgument("voter domain size mismatch");
   }
-  const std::size_t target = (num_voters_ + 1) / 2;
   std::vector<std::int64_t>& row = voter_positions_[index];
   std::int64_t touched = 0;
   for (std::size_t e = 0; e < n(); ++e) {
     const std::int64_t value =
         voter.TwicePosition(static_cast<ElementId>(e));
     if (value == row[e]) continue;  // untouched elements cost nothing
-    ElementState& state = positions_[e];
-    state.Erase(row[e]);
-    state.Insert(value);
-    state.Rebalance(target);
+    // Move the old value's slot to the new value's: shift only the values
+    // strictly between the two by one, so the array never reallocates.
+    std::vector<std::int64_t>& values = positions_[e];
+    const auto slot = std::lower_bound(values.begin(), values.end(), row[e]);
+    RANKTIES_DCHECK(slot != values.end() && *slot == row[e]);
+    if (value > row[e]) {
+      const auto end = std::lower_bound(slot + 1, values.end(), value);
+      std::move(slot + 1, end, slot);
+      *(end - 1) = value;
+    } else {
+      const auto begin = std::upper_bound(values.begin(), slot, value);
+      std::move_backward(begin, slot, slot + 1);
+      *begin = value;
+    }
     row[e] = value;
     ++touched;
   }
@@ -119,12 +80,12 @@ Status OnlineMedianAggregator::RemoveVoter(std::size_t index) {
     return Status::InvalidArgument("voter index out of range");
   }
   const std::size_t m = num_voters_ - 1;  // count after the withdrawal
-  const std::size_t target = (m + 1) / 2;  // 0 when the last voter leaves
   const std::vector<std::int64_t>& row = voter_positions_[index];
   for (std::size_t e = 0; e < n(); ++e) {
-    ElementState& state = positions_[e];
-    state.Erase(row[e]);
-    state.Rebalance(target);
+    std::vector<std::int64_t>& values = positions_[e];
+    const auto slot = std::lower_bound(values.begin(), values.end(), row[e]);
+    RANKTIES_DCHECK(slot != values.end() && *slot == row[e]);
+    values.erase(slot);
   }
   // Swap-with-last keeps voter storage dense; the caller remaps only the
   // moved index.
@@ -147,7 +108,7 @@ StatusOr<std::vector<std::int64_t>> OnlineMedianAggregator::ScoresQuad()
   }
   std::vector<std::int64_t> scores(n());
   for (std::size_t e = 0; e < n(); ++e) {
-    scores[e] = 2 * positions_[e].Median();
+    scores[e] = 2 * Median(e);
   }
   return scores;
 }
@@ -166,10 +127,27 @@ StatusOr<Permutation> OnlineMedianAggregator::CurrentFull() const {
 
 StatusOr<BucketOrder> OnlineMedianAggregator::CurrentTopK(
     std::size_t k) const {
-  StatusOr<Permutation> full = CurrentFull();
-  if (!full.ok()) return full.status();
+  if (num_voters_ == 0) {
+    return Status::FailedPrecondition("no voters added yet");
+  }
   if (k > n()) return Status::InvalidArgument("k exceeds domain size");
-  return BucketOrder::TopKOf(*full, k);
+  // Ordering by (median, id) is CurrentFull's stable sort by score over
+  // ascending ids, so selecting the k smallest pairs yields its first k.
+  std::vector<std::pair<std::int64_t, ElementId>> keyed(n());
+  for (std::size_t e = 0; e < n(); ++e) {
+    keyed[e] = {Median(e), static_cast<ElementId>(e)};
+  }
+  std::partial_sort(keyed.begin(),
+                    keyed.begin() + static_cast<std::ptrdiff_t>(k),
+                    keyed.end());
+  // k singleton buckets, then one bucket with the rest in ascending id
+  // order; FromBucketIndex fills it in one pass, with no per-bucket sort.
+  std::vector<BucketIndex> bucket_of(n(), static_cast<BucketIndex>(k));
+  for (std::size_t r = 0; r < k; ++r) {
+    bucket_of[static_cast<std::size_t>(keyed[r].second)] =
+        static_cast<BucketIndex>(r);
+  }
+  return BucketOrder::FromBucketIndex(bucket_of);
 }
 
 }  // namespace rankties

@@ -2,7 +2,6 @@
 #define RANKTIES_CORE_ONLINE_MEDIAN_H_
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "rank/bucket_order.h"
@@ -17,14 +16,15 @@ namespace rankties {
 /// point. Voters can also *change their mind* (ROADMAP item 4): a live
 /// corpus replaces or withdraws a ballot and the aggregate follows without
 /// a batch recompute. Per element the doubled positions of the current
-/// voters are kept in a two-multiset median structure (`low` = the
-/// (m+1)/2 smallest values, so the lower median is `low`'s maximum), which
-/// supports arbitrary erase — not just arrival-order insert — in
-/// O(log m). Costs:
-///   AddVoter      O(n log m),
-///   UpdateVoter   O(changed elements * log m),
-///   RemoveVoter   O(n log m),
-///   CurrentTopK   O(n log n),
+/// voters are kept in one sorted flat array, so the lower median is entry
+/// (m-1)/2. At the m this serves (tens to hundreds of voters) a shift of
+/// that array is one short memmove, cheaper than any node-based tree.
+/// Costs:
+///   AddVoter      O(n * m),
+///   UpdateVoter   O(changed elements * m), a memmove per element and no
+///                 allocation,
+///   RemoveVoter   O(n * m),
+///   CurrentTopK   O(n log k),
 /// and every query agrees exactly with the batch MedianRankScoresQuad
 /// (kLower) over the current voter set (fuzzed by the mutation-trace
 /// family, tests/fuzz).
@@ -61,23 +61,14 @@ class OnlineMedianAggregator {
   StatusOr<BucketOrder> CurrentTopK(std::size_t k) const;
 
  private:
-  // Per element: the multiset of current voters' doubled positions, split
-  // so that `low` holds exactly the (m+1)/2 smallest values (lower-median
-  // index, 1-based) and `high` the rest. The lower median is then
-  // *low.rbegin(), and insert/erase of an arbitrary value plus a
-  // rebalancing step are all O(log m) — the iterator-tracked single
-  // multiset this replaces could only follow arrival-order inserts.
-  struct ElementState {
-    std::multiset<std::int64_t> low;
-    std::multiset<std::int64_t> high;
+  /// Lower median of element `e`'s current doubled positions.
+  std::int64_t Median(std::size_t e) const {
+    const std::vector<std::int64_t>& values = positions_[e];
+    return values[(values.size() - 1) / 2];
+  }
 
-    void Insert(std::int64_t value);
-    void Erase(std::int64_t value);
-    /// Restores |low| == target by shuttling boundary values.
-    void Rebalance(std::size_t target);
-    std::int64_t Median() const { return *low.rbegin(); }
-  };
-  std::vector<ElementState> positions_;
+  /// positions_[e] = the current voters' doubled positions of e, sorted.
+  std::vector<std::vector<std::int64_t>> positions_;
   /// voter_positions_[v][e] = doubled position of e in voter v's current
   /// ballot — the old values UpdateVoter/RemoveVoter must erase.
   std::vector<std::vector<std::int64_t>> voter_positions_;

@@ -115,22 +115,24 @@ BucketOrder BucketOrder::TopKOf(const Permutation& perm, std::size_t k) {
   const std::size_t n = perm.n();
   RANKTIES_DCHECK(k <= n);
   if (k == n) return FromPermutation(perm);
+  // Every element starts in the bottom bucket k; the top k are moved out,
+  // and one ascending pass over the ids fills the bottom bucket sorted.
   BucketOrder order;
-  order.buckets_.resize(k + (k < n ? 1 : 0));
-  order.bucket_of_.resize(n);
+  order.buckets_.resize(k + 1);
+  order.bucket_of_.assign(n, static_cast<BucketIndex>(k));
   for (std::size_t r = 0; r < k; ++r) {
     const ElementId e = perm.At(static_cast<ElementId>(r));
     order.buckets_[r] = {e};
     order.bucket_of_[static_cast<std::size_t>(e)] =
         static_cast<BucketIndex>(r);
   }
-  for (std::size_t r = k; r < n; ++r) {
-    const ElementId e = perm.At(static_cast<ElementId>(r));
-    order.buckets_[k].push_back(e);
-    order.bucket_of_[static_cast<std::size_t>(e)] =
-        static_cast<BucketIndex>(k);
+  std::vector<ElementId>& bottom = order.buckets_[k];
+  bottom.reserve(n - k);
+  for (std::size_t e = 0; e < n; ++e) {
+    if (order.bucket_of_[e] == static_cast<BucketIndex>(k)) {
+      bottom.push_back(static_cast<ElementId>(e));
+    }
   }
-  std::sort(order.buckets_[k].begin(), order.buckets_[k].end());
   order.RebuildPositions();
   RANKTIES_DCHECK_OK(order.Validate());
   return order;

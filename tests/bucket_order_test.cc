@@ -135,6 +135,33 @@ TEST(BucketOrderTest, TopKShape) {
   EXPECT_TRUE(BucketOrder::TopKOf(identity, 6).IsTopK(6));
 }
 
+// TopKOf fills its bottom bucket by one ascending pass over the ids; it
+// must equal FromBuckets over the same top k ids plus the sorted rest.
+TEST(BucketOrderTest, TopKOfMatchesFromBuckets) {
+  Rng rng(0x70C4);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.UniformInt(0, 30));
+    const Permutation perm = Permutation::Random(n, rng);
+    for (std::size_t k = 0; k <= n; ++k) {
+      std::vector<std::vector<ElementId>> buckets;
+      for (std::size_t r = 0; r < k; ++r) {
+        buckets.push_back({perm.At(static_cast<ElementId>(r))});
+      }
+      if (k < n) {
+        std::vector<ElementId> rest;
+        for (std::size_t r = k; r < n; ++r) {
+          rest.push_back(perm.At(static_cast<ElementId>(r)));
+        }
+        buckets.push_back(std::move(rest));  // FromBuckets sorts it
+      }
+      auto expected = BucketOrder::FromBuckets(n, std::move(buckets));
+      ASSERT_TRUE(expected.ok());
+      EXPECT_EQ(BucketOrder::TopKOf(perm, k), *expected)
+          << "n=" << n << " k=" << k;
+    }
+  }
+}
+
 TEST(BucketOrderTest, FromScoresGroupsEqualValues) {
   const BucketOrder order = BucketOrder::FromScores({3.5, 1.0, 3.5, 0.5});
   EXPECT_EQ(order.ToString(), "[3 | 1 | 0 2]");

@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "core/footrule.h"
 #include "core/hausdorff.h"
 #include "core/pair_counts.h"
@@ -13,44 +12,6 @@
 #include "gen/random_orders.h"
 #include "rank/bucket_order.h"
 #include "util/rng.h"
-
-// Allocation-counting hook for the zero-allocation contract of the prepared
-// kernels: the test binary replaces global operator new/delete with
-// pass-throughs that bump a thread-local counter while a test has armed it.
-// Thread-local keeps the hook race-free without putting atomics on every
-// allocation in the binary.
-namespace {
-thread_local bool g_count_allocations = false;
-thread_local std::int64_t g_allocation_count = 0;
-}  // namespace
-
-// noinline keeps GCC from pairing the malloc/free inside with new/delete
-// expressions at call sites (-Wmismatched-new-delete false positives).
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  if (g_count_allocations) ++g_allocation_count;
-  void* ptr = std::malloc(size);
-  if (ptr == nullptr) throw std::bad_alloc();
-  return ptr;
-}
-
-__attribute__((noinline)) void* operator new[](std::size_t size) {
-  return operator new(size);
-}
-
-__attribute__((noinline)) void operator delete(void* ptr) noexcept {
-  std::free(ptr);
-}
-__attribute__((noinline)) void operator delete[](void* ptr) noexcept {
-  std::free(ptr);
-}
-__attribute__((noinline)) void operator delete(void* ptr,
-                                               std::size_t) noexcept {
-  std::free(ptr);
-}
-__attribute__((noinline)) void operator delete[](void* ptr,
-                                                 std::size_t) noexcept {
-  std::free(ptr);
-}
 
 namespace rankties {
 namespace {
@@ -216,8 +177,7 @@ TEST(PreparedKernelsTest, WarmKernelsPerformZeroHeapAllocations) {
   }
 
   std::int64_t counted = 0;
-  g_allocation_count = 0;
-  g_count_allocations = true;
+  StartCountingAllocations();
   for (std::size_t i = 0; i < prepared.size(); ++i) {
     for (std::size_t j = i + 1; j < prepared.size(); ++j) {
       counted += TwiceKprof(prepared[i], prepared[j], scratch);
@@ -226,8 +186,7 @@ TEST(PreparedKernelsTest, WarmKernelsPerformZeroHeapAllocations) {
       counted += TwiceFHausdorff(prepared[i], prepared[j], scratch);
     }
   }
-  g_count_allocations = false;
-  EXPECT_EQ(g_allocation_count, 0)
+  EXPECT_EQ(StopCountingAllocations(), 0)
       << "warm prepared kernels must not allocate";
   EXPECT_EQ(counted, checksum);
 }
@@ -239,11 +198,9 @@ TEST(PreparedKernelsTest, LegacyKernelsDoAllocatePerPair) {
   const BucketOrder sigma = RandomFewValued(200, 4.0, rng);
   const BucketOrder tau = RandomBucketOrder(200, rng);
   (void)TwiceKprof(sigma, tau);  // warm-up for symmetry
-  g_allocation_count = 0;
-  g_count_allocations = true;
+  StartCountingAllocations();
   const std::int64_t value = TwiceKprof(sigma, tau);
-  g_count_allocations = false;
-  EXPECT_GT(g_allocation_count, 0);
+  EXPECT_GT(StopCountingAllocations(), 0);
   EXPECT_EQ(value, TwiceKprof(sigma, tau));
 }
 
