@@ -52,15 +52,14 @@ StatusOr<BucketOrder> StreamingMedianInducedOrder(
     const store::CorpusReader& reader, MedianPolicy policy,
     const OutOfCoreOptions& options = {});
 
-/// The m x m distance matrix of DistanceMatrix computed blockwise over
-/// chunk pairs. The outer chunk a is decoded and prepared once per row
-/// band; then one pool lane per block fills the diagonal block and each
-/// cross block b > a, decoding and preparing chunk b itself, and every
-/// global pair (i, j), i < j, runs the prepared kernels on per-thread
-/// scratch. At most lanes + 1 chunk preparations are live at once; the
-/// matrix itself (m^2 doubles) is the caller's output and scales with m,
-/// not n. On a corrupt chunk the lowest-index failure of the band is
-/// returned, the chunk the serial sweep would have stopped at.
+/// The m x m distance matrix of DistanceMatrix, filled by the same block
+/// sweep (SweepBand, core/batch_engine.h) with a band of one chunk: each
+/// chunk a is decoded and prepared once as the band, then one pool lane
+/// per block fills the diagonal block and each cross block b > a, decoding
+/// and preparing chunk b itself. At most lanes + 1 chunk preparations are
+/// live at once; the matrix itself (m^2 doubles) is the caller's output
+/// and scales with m, not n. On a corrupt chunk the lowest-index failure
+/// is returned, the chunk the serial sweep would have stopped at.
 StatusOr<std::vector<std::vector<double>>> OutOfCoreDistanceMatrix(
     MetricKind kind, const store::CorpusReader& reader);
 

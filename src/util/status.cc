@@ -38,4 +38,11 @@ std::ostream& operator<<(std::ostream& os, const Status& status) {
   return os << status.ToString();
 }
 
+Status FirstFailure(const std::vector<Status>& statuses) {
+  for (const Status& s : statuses) {
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
+}
+
 }  // namespace rankties

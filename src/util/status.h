@@ -5,6 +5,7 @@
 #include <ostream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "util/contracts.h"
 
@@ -86,6 +87,11 @@ class [[nodiscard]] Status {
 };
 
 std::ostream& operator<<(std::ostream& os, const Status& status);
+
+/// The first error of `statuses` in index order, or OK. A parallel loop
+/// that records one Status per slot returns this to report the failure the
+/// serial order would have stopped at, whatever the lane count.
+Status FirstFailure(const std::vector<Status>& statuses);
 
 /// Holds either a value of type `T` or an error `Status`.
 ///
